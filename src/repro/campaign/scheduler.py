@@ -20,6 +20,12 @@ The outbox file, not the queue message, is the ground truth for a worker
 that exited cleanly: if the doorbell is lost or late, the scheduler recovers
 the result from the file instead of misclassifying the job as crashed.
 
+Dispatch is event-driven: the scheduler fills every free slot, then blocks
+on the running workers' process sentinels until one exits or the earliest
+per-attempt deadline passes.  A worker rings its doorbell before it exits,
+so each wake-up settles the finished jobs and refills their slots at once —
+there is no poll interval between a job's exit and its successor's start.
+
 Retry semantics
 ---------------
 
@@ -49,7 +55,12 @@ the persistent solver cache, which is designed for concurrent appends (see
 :mod:`repro.campaign.cache`); workers attach to it via the cache path the
 scheduler passes down, and their verdicts are namespaced by solver options
 so different option variants never replay each other's results (see
-:mod:`repro.solver.equivalence`).
+:mod:`repro.solver.equivalence`).  Under ``fork`` the workers inherit a warm
+cache: the scheduler keeps one instance loaded, refreshes it (reading only
+the bytes appended since its last read) just before each fork, and the
+worker adopts it for the cache path instead of re-reading the whole file.
+Misses still pick up sibling workers' later appends.  Spawned workers open
+the file themselves.
 
 The worker entry point is :func:`repro.experiments.execute_job`, which runs
 each transfer through the :mod:`repro.api` facade — the scheduler knows
@@ -68,9 +79,11 @@ import queue as queue_module
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from multiprocessing.connection import wait
 from typing import Callable, Optional
 
 from ..obs import metrics as obs_metrics
+from .cache import PersistentSolverCache, adopt_solver_cache
 from .execution import (
     AttemptLedger,
     ClassAccountant,
@@ -134,7 +147,12 @@ def _worker_main(
     results,
     attempt: int,
     outbox: str,
+    inherited: Optional[PersistentSolverCache] = None,
 ) -> None:
+    # ``payload`` stays the second argument: dispatch observers read the job
+    # id from ``Process._args[1]``.  New arguments go at the end.
+    if inherited is not None:
+        adopt_solver_cache(inherited)
     job_id = payload.get("job_id", "")
     try:
         result = runner(payload, cache_path)
@@ -162,7 +180,6 @@ class SchedulerOptions:
     jobs: int = 1
     timeout_s: Optional[float] = None   # per-attempt wall-clock limit
     retries: int = 1                    # extra attempts after crash/timeout/error
-    poll_interval_s: float = 0.02
     start_method: Optional[str] = None  # default: fork when available
     use_persistent_cache: bool = True
 
@@ -384,6 +401,13 @@ class CampaignScheduler:
                 else "spawn"
             )
         ctx = multiprocessing.get_context(method)
+        # Fork-started workers inherit this warm cache instead of re-reading
+        # the whole file per job (spawned ones open the file themselves).
+        inherited = (
+            PersistentSolverCache(cache_path)
+            if cache_path is not None and method == "fork"
+            else None
+        )
         results: multiprocessing.Queue = ctx.Queue()
         running: dict[str, _Running] = {}
         ledger = AttemptLedger(self.options.retries)
@@ -480,20 +504,28 @@ class CampaignScheduler:
                 error=message.get("error", ""),
             )
 
-        def drain(block_s: float = 0.0) -> None:
+        def drain(block_s: float = 0.0, awaiting: str = "") -> None:
+            """Handle every queued doorbell; wait up to ``block_s`` for ``awaiting``'s."""
             deadline = time.perf_counter() + block_s
             while True:
+                remaining = deadline - time.perf_counter()
                 try:
-                    handle(results.get_nowait())
+                    if remaining > 0 and awaiting in running:
+                        message = results.get(timeout=remaining)
+                    else:
+                        message = results.get_nowait()
                 except queue_module.Empty:
-                    if time.perf_counter() >= deadline:
-                        return
-                    time.sleep(0.005)
+                    return
+                handle(message)
 
         while pending or running:
+            # Refill every free slot before blocking: a settled job's slot is
+            # reused at once, not after a poll interval.
             while pending and len(running) < slots:
                 job = pending.popleft()
                 attempt = ledger.begin(job.job_id)
+                if inherited is not None:
+                    inherited.refresh()  # reads only what workers appended since
                 process = ctx.Process(
                     target=_worker_main,
                     args=(
@@ -503,6 +535,7 @@ class CampaignScheduler:
                         results,
                         attempt,
                         str(outbox),
+                        inherited,
                     ),
                     daemon=True,
                 )
@@ -515,6 +548,18 @@ class CampaignScheduler:
             obs_metrics.set_gauge("campaign.queue_depth", len(pending))
             obs_metrics.set_gauge("campaign.workers_active", len(running))
 
+            # Block until a worker exits or the earliest attempt deadline
+            # passes.  A worker rings its doorbell before it exits, so the
+            # drain below finds the doorbell of every cleanly exited worker.
+            block_s = None
+            if self.options.timeout_s is not None:
+                earliest = min(entry.started_at for entry in running.values())
+                block_s = max(
+                    0.0, earliest + self.options.timeout_s - time.perf_counter()
+                )
+            exited = set(
+                wait([entry.process.sentinel for entry in running.values()], block_s)
+            )
             drain()
             for job_id, entry in list(running.items()):
                 if job_id not in running:
@@ -526,7 +571,8 @@ class CampaignScheduler:
                     self.options.timeout_s is not None
                     and now - entry.started_at > self.options.timeout_s
                 )
-                if timed_out and entry.process.is_alive():
+                alive = entry.process.sentinel not in exited and entry.process.is_alive()
+                if timed_out and alive:
                     # A result may have arrived at the deadline; prefer it.
                     drain()
                     if job_id not in running:
@@ -545,11 +591,17 @@ class CampaignScheduler:
                             error=f"timed out after {self.options.timeout_s}s",
                         ),
                     )
-                elif not entry.process.is_alive():
+                elif not alive:
+                    # Reap it first: a closed sentinel can precede the exit
+                    # status by a moment, and the status decides what follows.
+                    entry.process.join(timeout=5)
                     # The worker exited: give its doorbell a moment to arrive.
                     # Only a clean exit can have rung one, so don't stall the
                     # control loop waiting on a killed worker's silence.
-                    drain(block_s=0.25 if entry.process.exitcode == 0 else 0.0)
+                    drain(
+                        block_s=0.25 if entry.process.exitcode == 0 else 0.0,
+                        awaiting=job_id,
+                    )
                     if job_id not in running:
                         continue
                     # Doorbell lost or late — the outbox file is the ground
@@ -569,9 +621,6 @@ class CampaignScheduler:
                             error=f"worker exited with code {entry.process.exitcode}",
                         ),
                     )
-
-            if running:
-                time.sleep(self.options.poll_interval_s)
 
         results.close()
         remove_outbox(self.store)

@@ -366,15 +366,31 @@ def _generate_mutation(config: CorpusConfig) -> list[ScenarioPair]:
     pairs: list[ScenarioPair] = []
     for kind in config.error_kinds:
         for index in range(config.pairs_per_class):
-            pairs.append(
-                _first_feasible(
-                    lambda format_name: synthesize_mutation_pair(
-                        kind, format_name, index=index, seed=config.seed
-                    ),
-                    _rotated_formats(config, f"{kind.value}:mut", offset_extra=index),
-                    f"fuzzer-discovered {kind.value}",
+            formats = _rotated_formats(config, f"{kind.value}:mut", offset_extra=index)
+
+            def synthesize(format_name: str, past_other_kinds: bool = False):
+                return synthesize_mutation_pair(
+                    kind,
+                    format_name,
+                    index=index,
+                    seed=config.seed,
+                    past_other_kinds=past_other_kinds,
                 )
-            )
+
+            what = f"fuzzer-discovered {kind.value}"
+            try:
+                pair = _first_feasible(synthesize, formats, what)
+            except ScenarioError:
+                # No format worked; typically each fuzzer stopped at a crash
+                # of another kind first.  Fuzz on past those only now: doing
+                # so from the start would change the pairs of corpora that
+                # generate without it.
+                pair = _first_feasible(
+                    lambda format_name: synthesize(format_name, past_other_kinds=True),
+                    formats,
+                    what,
+                )
+            pairs.append(pair)
     return pairs
 
 

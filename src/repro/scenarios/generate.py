@@ -1070,6 +1070,7 @@ def synthesize_mutation_pair(
     index: int = 0,
     seed: int = 0,
     iterations: int = 200,
+    past_other_kinds: bool = False,
 ) -> ScenarioPair:
     """Generate a pair whose trigger the seeded fuzzer discovered.
 
@@ -1077,9 +1078,12 @@ def synthesize_mutation_pair(
     the template's declaration: a seeded :class:`~repro.discovery.fuzzer.
     FieldFuzzer` mutates the recipient's defect fields over the format byte
     stream until it finds a crash of the expected kind, and the crashing
-    field values become the pair's error values.  Raises
-    :class:`ScenarioError` when the campaign finds nothing (the corpus
-    generator rotates to the next format).
+    field values become the pair's error values.  By default the campaign
+    stops at its first distinct crash, which may be of another kind (a
+    wrapped size product often surfaces first as the out-of-bounds store it
+    causes); ``past_other_kinds`` fuzzes on through such crashes.  Raises
+    :class:`ScenarioError` when the campaign finds nothing of the expected
+    kind (the corpus generator rotates to the next format).
     """
     from ..discovery.fuzzer import FieldFuzzer, FuzzerOptions
     from ..lang.checker import compile_program
@@ -1129,7 +1133,7 @@ def synthesize_mutation_pair(
             iterations=iterations,
             seed=rng.randrange(1 << 30),
             fields=tuple(access.path for access in chosen),
-            stop_after=1,
+            stop_after=None if past_other_kinds else 1,
         ),
     )
     findings = fuzzer.campaign()

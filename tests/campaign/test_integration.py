@@ -55,3 +55,21 @@ def test_parallel_campaign_matches_serial_run_and_warm_cache_hits(tmp_path):
     assert [_normalise(r) for r in warm_db.records] == [
         _normalise(r) for r in serial.records
     ]
+
+
+def test_spawned_workers_match_forked_ones_on_a_warm_cache(tmp_path):
+    """Forked workers adopt the scheduler's cache; spawned ones read the file."""
+    plan = expand_plan(cases=["cwebp-jpegdec"], donors=["feh"], name="start-methods")
+    store = RunStore(tmp_path / "run")
+    store.initialise(plan)
+    CampaignScheduler(plan, store, SchedulerOptions(start_method="fork")).run()
+
+    warm = {}
+    for method in ("fork", "spawn"):
+        store.initialise(plan, fresh=True)
+        report = CampaignScheduler(plan, store, SchedulerOptions(start_method=method)).run()
+        assert report.completed == len(plan) and not report.failed
+        records = [_normalise(r) for r in store.merge_into_database(plan).records]
+        warm[method] = (records, report.persistent_cache_hits)
+    assert warm["spawn"] == warm["fork"]
+    assert warm["fork"][1] > 0

@@ -89,7 +89,7 @@ def flaky_runner(payload: dict, cache_path: str) -> dict:
 
 
 def _options(**overrides) -> SchedulerOptions:
-    base = dict(jobs=2, start_method="fork", poll_interval_s=0.01)
+    base = dict(jobs=2, start_method="fork")
     base.update(overrides)
     return SchedulerOptions(**base)
 

@@ -9,6 +9,7 @@ from repro.lang.checker import compile_program
 from repro.lang.trace import ErrorKind
 from repro.lang.vm import VM
 from repro.scenarios import (
+    HARDNESS_DIMENSIONS,
     CorpusConfig,
     ScenarioCorpus,
     ScenarioError,
@@ -90,6 +91,28 @@ class TestGeneratedBehaviour:
         # template needs two.
         with pytest.raises(ScenarioError):
             synthesize_pair(ErrorKind.INTEGER_OVERFLOW, "dcp", index=0, seed=0)
+
+
+class TestMutationDimension:
+    def test_seed_whose_fuzzers_first_crash_otherwise_still_generates(self):
+        # At seed 1 every format's fuzzer for the second integer-overflow
+        # mutation pair first hits the out-of-bounds store the wrapped
+        # product causes; the generator must fuzz on to the overflow.
+        corpus = generate_corpus(
+            seed=1, pairs_per_class=8, hardness=HARDNESS_DIMENSIONS
+        )
+        assert len(corpus) == len(ErrorKind) * 8 * len(HARDNESS_DIMENSIONS)
+        overflows = [
+            pair
+            for pair in corpus.by_hardness()["mutation"]
+            if pair.error_kind is ErrorKind.INTEGER_OVERFLOW
+        ]
+        assert len(overflows) == 8
+        for pair in overflows:
+            error_run = _run(pair.recipient, pair.error_input(), pair.format_name)
+            assert error_run.crashed
+            assert error_run.error.kind is ErrorKind.INTEGER_OVERFLOW
+            assert _run(pair.donor, pair.error_input(), pair.format_name).ok
 
 
 class TestManifest:
